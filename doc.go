@@ -95,6 +95,19 @@
 // off (TestAcceleratedSynthesisByteIdentical pins this on every registry
 // scenario); benchmark E14 measures the win.
 //
+// Compiled policies. A parse product the cache hands out also carries a
+// lazily filled, concurrency-safe table of its route policies compiled to
+// symbolic accept regions (symbolic.CompiledPolicy over
+// netcfg.Parsed.Memo), so each policy is compiled at most once per
+// revision: an egress filter's obligations, one per other ISP attachment,
+// all read one compiled filter. Every reader of a parse product shares
+// the table: the in-process LocalVerifier, the batfishd batch handler,
+// and CheckAll in the compositional check, via lightyear.CheckParsed and
+// batfish.SearchParsed. A new revision is a new product with an empty
+// table, so a changed list never meets a stale compiled policy; a device
+// that did not come from a cache (hand-built, or a mutated copy such as a
+// falsification probe) is compiled on every call.
+//
 // Concurrent suite. Within one pipeline iteration, a stage's per-router
 // and per-requirement checks are independent, so SuiteParallelism fans
 // them onto a bounded worker pool. Selection is deterministic: the lowest
@@ -129,8 +142,9 @@
 // scenario, for 1 shard, 3 shards, and 3 shards with one killed mid-run).
 //
 // The hash ring. rest.ShardedClient consistent-hashes every check over N
-// batfishd endpoints (64 virtual nodes per shard, 64-bit FNV-1a, so every
-// client agrees on the assignment). The distribution key
+// batfishd endpoints (64 virtual nodes per shard, each placed by the first
+// eight bytes of SHA-256, so every client agrees on the assignment and the
+// near-identical virtual-node labels still spread evenly). The distribution key
 // (suite.ShardKey) is the check's configuration text — all of one
 // revision's whole-config checks stick to one shard and share its parse —
 // except that a local-policy check appends its attachment identity, so
@@ -162,7 +176,7 @@
 // so a client then driving the same family hits warm parses on its
 // batched checks. A shard fleet's warm broadcast is ring-scoped
 // (scenario protocol v2): each request carries the fleet's endpoint list
-// plus the addressed shard, the server rebuilds the same FNV-1a ring the
+// plus the addressed shard, the server rebuilds the same ring the
 // sharded client hashes with, and parses only the configurations the
 // ring routes to it — the other shards' share would never be asked of
 // it. A warm also registers the family's spec and requirement bodies

@@ -456,8 +456,7 @@ func evalBatchCheck(c BatchCheck, parses *netcfg.ParseCache) BatchResult {
 		if c.Requirement == nil {
 			return BatchResult{Error: "local check requires a requirement"}
 		}
-		dev := parses.Parse(c.Config).Device
-		v, bad := lightyear.Check(dev, *c.Requirement)
+		v, bad := lightyear.CheckParsed(parses.Parse(c.Config), *c.Requirement)
 		res := BatchResult{Violated: bad}
 		if bad {
 			res.Violation = &v

@@ -2,8 +2,9 @@ package rest
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -171,11 +172,21 @@ func SplitEndpoints(values []string) ([]string, error) {
 
 // buildRing places ringReplicas virtual nodes per shard on the hash ring.
 func buildRing(shards []*shard) []ringPoint {
-	ring := make([]ringPoint, 0, len(shards)*ringReplicas)
+	endpoints := make([]string, len(shards))
 	for i, sh := range shards {
+		endpoints[i] = sh.endpoint
+	}
+	return ringPoints(endpoints)
+}
+
+// ringPoints places ringReplicas virtual nodes per endpoint on the hash
+// ring, in ring order; point.shard indexes endpoints.
+func ringPoints(endpoints []string) []ringPoint {
+	ring := make([]ringPoint, 0, len(endpoints)*ringReplicas)
+	for i, ep := range endpoints {
 		for r := 0; r < ringReplicas; r++ {
 			ring = append(ring, ringPoint{
-				hash:  hashKey(fmt.Sprintf("%s|%d", sh.endpoint, r)),
+				hash:  hashKey(fmt.Sprintf("%s|%d", ep, r)),
 				shard: i,
 			})
 		}
@@ -191,12 +202,14 @@ func buildRing(shards []*shard) []ringPoint {
 	return ring
 }
 
-// hashKey is the ring's hash function: 64-bit FNV-1a, deterministic across
-// processes so every client agrees on the assignment.
+// hashKey is the ring's hash function: the first eight bytes of SHA-256,
+// deterministic across processes so every client agrees on the
+// assignment. The virtual-node labels differ only in a trailing counter,
+// and a weakly mixing hash (64-bit FNV-1a) clusters such labels on the
+// ring, handing one shard most of the key space.
 func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
+	sum := sha256.Sum256([]byte(key))
+	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // normalizeEndpoint brings an endpoint to the ring's canonical form — the
@@ -211,9 +224,8 @@ func normalizeEndpoint(ep string) string {
 // alone — the placement function of ShardedClient without its liveness
 // and failover state. Servers handed the fleet list by a ring-scoped
 // scenario warm (protocol v2) rebuild the ring with it and warm only the
-// keys they own; because hashKey and the virtual-node layout are shared
-// with buildRing, the server's notion of ownership is byte-for-byte the
-// client's.
+// keys they own; because both sides build their points with ringPoints,
+// the server's notion of ownership is byte-for-byte the client's.
 type endpointRing struct {
 	points    []ringPoint
 	endpoints []string
@@ -225,20 +237,7 @@ func newEndpointRing(endpoints []string) *endpointRing {
 	for _, ep := range endpoints {
 		r.endpoints = append(r.endpoints, normalizeEndpoint(ep))
 	}
-	for i, ep := range r.endpoints {
-		for v := 0; v < ringReplicas; v++ {
-			r.points = append(r.points, ringPoint{
-				hash:  hashKey(fmt.Sprintf("%s|%d", ep, v)),
-				shard: i,
-			})
-		}
-	}
-	sort.Slice(r.points, func(a, b int) bool {
-		if r.points[a].hash != r.points[b].hash {
-			return r.points[a].hash < r.points[b].hash
-		}
-		return r.points[a].shard < r.points[b].shard
-	})
+	r.points = ringPoints(r.endpoints)
 	return r
 }
 

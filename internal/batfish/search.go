@@ -95,11 +95,19 @@ type SearchResult struct {
 
 // SearchRoutePolicies answers a query against a device, mirroring the
 // Batfish question of the same name the paper uses as its semantic
-// verifier for local policies (§4.1).
+// verifier for local policies (§4.1). The policy is compiled afresh; see
+// SearchParsed for the per-revision compiled form.
 func SearchRoutePolicies(dev *netcfg.Device, q SearchQuery) (SearchResult, error) {
-	pol := dev.RoutePolicies[q.Policy]
+	return SearchParsed(&netcfg.Parsed{Device: dev}, q)
+}
+
+// SearchParsed answers a query against a parse product, reading the
+// policy from the product's compiled-policy table (symbolic.CompiledPolicy)
+// so the queries of one configuration revision share one compilation.
+func SearchParsed(p *netcfg.Parsed, q SearchQuery) (SearchResult, error) {
+	pol := symbolic.CompiledPolicy(p, q.Policy)
 	if pol == nil {
-		return SearchResult{}, fmt.Errorf("policy %q is not defined on %s", q.Policy, dev.Hostname)
+		return SearchResult{}, fmt.Errorf("policy %q is not defined on %s", q.Policy, p.Device.Hostname)
 	}
 	input, err := q.Constraints.Space()
 	if err != nil {
@@ -114,7 +122,7 @@ func SearchRoutePolicies(dev *netcfg.Device, q SearchQuery) (SearchResult, error
 	default:
 		return SearchResult{}, fmt.Errorf("action must be permit or deny, got %q", q.Action)
 	}
-	witness, found := symbolic.SearchPolicy(pol, dev, symbolic.Query{Input: input, Action: action})
+	witness, found := pol.Search(symbolic.Query{Input: input, Action: action})
 	if !found {
 		return SearchResult{Found: false}, nil
 	}

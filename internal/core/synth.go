@@ -320,11 +320,11 @@ func globalCheck(topo *topology.Topology, configs map[string]string,
 		if opts.Trace != nil {
 			start = time.Now()
 		}
-		devs, err := parseDevices(opts.Verifier, topo, configs)
+		parsed, err := parseFinal(opts.Verifier, topo, configs)
 		if err != nil {
 			return nil, err
 		}
-		global, err := lightyear.CheckCompositionalNoTransit(topo, devs,
+		global, err := lightyear.CheckCompositionalNoTransit(topo, parsed,
 			lightyear.CompositionalOptions{Seed: opts.GlobalCheckSeed, RecentRouters: recent})
 		if err == nil {
 			opts.Trace.Span(start, obs.Event{Stage: obs.StageGlobalCheck,
@@ -340,13 +340,13 @@ func globalCheck(topo *topology.Topology, configs map[string]string,
 	return opts.Verifier.GlobalNoTransit(topo, configs)
 }
 
-// parseDevices parses the final configurations into devices for the
-// compositional check, going through the run's parse cache when the
-// verifier carries one (cache hits for every revision the repair loop
+// parseFinal parses the final configurations for the compositional check,
+// going through the run's parse cache when the verifier carries one (cache
+// hits, compiled policies included, for every revision the repair loop
 // already verified). Remote verifiers parse locally: the compositional
 // check is a client-side fast path, not a suite round-trip.
-func parseDevices(v Verifier, topo *topology.Topology,
-	configs map[string]string) (map[string]*netcfg.Device, error) {
+func parseFinal(v Verifier, topo *topology.Topology,
+	configs map[string]string) (map[string]*netcfg.Parsed, error) {
 	parse := batfish.ParseAndCheck
 	switch t := v.(type) {
 	case *CachedVerifier:
@@ -356,16 +356,16 @@ func parseDevices(v Verifier, topo *topology.Topology,
 	case LocalVerifier:
 		parse = t.parsed
 	}
-	devs := make(map[string]*netcfg.Device, len(configs))
+	parsed := make(map[string]*netcfg.Parsed, len(configs))
 	for i := range topo.Routers {
 		name := topo.Routers[i].Name
 		text, ok := configs[name]
 		if !ok {
 			return nil, fmt.Errorf("router %s has no configuration", name)
 		}
-		devs[name] = parse(text).Device
+		parsed[name] = parse(text)
 	}
-	return devs, nil
+	return parsed, nil
 }
 
 // synthesizeSequential is the paper's loop: modularizer prompts for every

@@ -47,7 +47,9 @@ type CompositionalOptions struct {
 //     returns ErrCoverageIncomplete and the caller falls back to the
 //     simulation.
 //  2. Local obligations — every requirement of the spec must hold on the
-//     final devices (CheckAll); failures surface as Violations.
+//     final parse products (CheckAll, sharing each revision's compiled
+//     policies with the repair loop that verified it); failures surface
+//     as Violations.
 //  3. Reachability, structurally — every topology-declared BGP session
 //     must exist on its device, every connected network must be
 //     announced, and every ISP attachment's ingress policy must admit the
@@ -63,16 +65,20 @@ type CompositionalOptions struct {
 // The result mirrors CheckGlobalNoTransit's verdict on every registry
 // scenario (the agreement gate pins this); the full simulation remains
 // the default and the authority wherever the two could diverge.
-func CheckCompositionalNoTransit(t *topology.Topology, devs map[string]*netcfg.Device,
+func CheckCompositionalNoTransit(t *topology.Topology, parsed map[string]*netcfg.Parsed,
 	opts CompositionalOptions) (*GlobalResult, error) {
 	reqs := SpecFor(t)
 	if err := CoverageComplete(t, reqs); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCoverageIncomplete, err)
 	}
 	out := &GlobalResult{Converged: true, Method: MethodCompositional}
+	devs := make(map[string]*netcfg.Device, len(parsed))
+	for name, p := range parsed {
+		devs[name] = p.Device
+	}
 
 	// Local obligations on the final devices.
-	for _, v := range CheckAll(reqs, devs) {
+	for _, v := range CheckAll(reqs, parsed) {
 		out.Violations = append(out.Violations, v.String())
 	}
 

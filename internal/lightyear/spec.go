@@ -13,6 +13,7 @@ import (
 	"repro/internal/batfish"
 	"repro/internal/netcfg"
 	"repro/internal/netgen"
+	"repro/internal/symbolic"
 	"repro/internal/topology"
 )
 
@@ -180,10 +181,18 @@ func indexOf(name string) int {
 	return i
 }
 
-// Check verifies one requirement against a parsed device, returning a
-// violation with a witness route if it fails.
+// Check verifies one requirement against a device, returning a violation
+// with a witness route if it fails. The policy is compiled afresh on every
+// call; CheckParsed reads a parse product's compiled-policy table instead.
 func Check(dev *netcfg.Device, req Requirement) (Violation, bool) {
-	pol := dev.RoutePolicies[req.Policy]
+	return CheckParsed(&netcfg.Parsed{Device: dev}, req)
+}
+
+// CheckParsed verifies one requirement against a parse product. Every
+// requirement on the same policy of the same revision reads one shared
+// compilation (symbolic.CompiledPolicy).
+func CheckParsed(p *netcfg.Parsed, req Requirement) (Violation, bool) {
+	pol := symbolic.CompiledPolicy(p, req.Policy)
 	if pol == nil {
 		return Violation{
 			Requirement: req,
@@ -193,9 +202,9 @@ func Check(dev *netcfg.Device, req Requirement) (Violation, bool) {
 	}
 	switch req.Kind {
 	case IngressAddsCommunity:
-		return checkIngressAdds(dev, pol, req)
+		return checkIngressAdds(p.Device, pol, req)
 	case EgressDropsCommunity:
-		res, err := batfish.SearchRoutePolicies(dev, batfish.SearchQuery{
+		res, err := batfish.SearchParsed(p, batfish.SearchQuery{
 			Policy: req.Policy,
 			Action: "permit",
 			Constraints: batfish.RouteConstraints{
@@ -216,7 +225,7 @@ func Check(dev *netcfg.Device, req Requirement) (Violation, bool) {
 		for _, c := range req.Communities {
 			lacks = append(lacks, c.String())
 		}
-		res, err := batfish.SearchRoutePolicies(dev, batfish.SearchQuery{
+		res, err := batfish.SearchParsed(p, batfish.SearchQuery{
 			Policy: req.Policy,
 			Action: "deny",
 			Constraints: batfish.RouteConstraints{
@@ -237,45 +246,78 @@ func Check(dev *netcfg.Device, req Requirement) (Violation, bool) {
 	return Violation{}, false
 }
 
-// checkIngressAdds verifies that every accept path of the policy results
-// in a route carrying the required community, by applying each accept
-// region's transforms to a sample route.
-func checkIngressAdds(dev *netcfg.Device, pol *netcfg.RoutePolicy, req Requirement) (Violation, bool) {
-	for _, cl := range pol.Clauses {
-		if cl.Action != netcfg.Permit {
+// checkIngressAdds verifies that every accept region of the policy
+// results in a route carrying the required community, by applying the
+// policy to one sample route per region: the clause's heuristic sample
+// when it lies in the region (it reads like the clause), the region's own
+// symbolic sample otherwise — a clause whose heuristic sample is shadowed
+// by an earlier clause or a deny entry is still tested on a route that
+// reaches it.
+//
+// The regions can under-approximate what is accepted: an AS-path match
+// compiles to "any route", so a deny clause on one hides every later
+// clause. Each permit clause whose heuristic sample was not tried above is
+// therefore also tried on that sample, so the check never covers less
+// than one sample per permit clause.
+func checkIngressAdds(dev *netcfg.Device, pol *symbolic.Compiled, req Requirement) (Violation, bool) {
+	tried := make(map[*netcfg.PolicyClause]bool, len(pol.Regions))
+	for _, region := range pol.Regions {
+		sample := sampleForClause(dev, region.Clause)
+		if sample != nil && region.Space.Contains(sample) {
+			tried[region.Clause] = true
+		} else {
+			var ok bool
+			if sample, ok = region.Space.Sample(); !ok {
+				continue
+			}
+		}
+		if v, bad := probeIngress(dev, pol.Policy, req, sample); bad {
+			return v, true
+		}
+	}
+	for _, cl := range pol.Policy.Clauses {
+		if cl.Action != netcfg.Permit || tried[cl] {
 			continue
 		}
-		sample := sampleForClause(dev, cl)
-		if sample == nil {
-			continue
+		if sample := sampleForClause(dev, cl); sample != nil {
+			if v, bad := probeIngress(dev, pol.Policy, req, sample); bad {
+				return v, true
+			}
 		}
-		res := netcfg.EvalPolicy(pol, dev, sample)
-		if res.Permitted && !res.Route.HasCommunity(req.Community) {
-			return Violation{
-				Requirement: req,
-				Witness:     sample,
-				Explanation: fmt.Sprintf(
-					"The route-map %s permits the route %s without adding the community %s. "+
-						"Every route accepted at this ingress must carry %s.",
-					req.Policy, sample.Prefix, req.Community, req.Community),
-			}, true
-		}
-		// The paper's "Adding Communities" pitfall: a non-additive set
-		// wipes existing communities. Check with a pre-tagged route.
-		tagged := sample.Clone()
-		probe := netcfg.NewCommunity(65000, 999)
-		tagged.AddCommunity(probe)
-		res = netcfg.EvalPolicy(pol, dev, tagged)
-		if res.Permitted && !res.Route.HasCommunity(probe) {
-			return Violation{
-				Requirement: req,
-				Witness:     tagged,
-				Explanation: fmt.Sprintf(
-					"The route-map %s replaces the communities already present on the route instead of "+
-						"adding %s. Use the 'additive' keyword so existing communities are preserved.",
-					req.Policy, req.Community),
-			}, true
-		}
+	}
+	return Violation{}, false
+}
+
+// probeIngress applies the policy to one sample route and reports a
+// violation if the sample is accepted without the required community, or
+// if a pre-tagged copy loses its existing communities.
+func probeIngress(dev *netcfg.Device, pol *netcfg.RoutePolicy, req Requirement, sample *netcfg.Route) (Violation, bool) {
+	res := netcfg.EvalPolicy(pol, dev, sample)
+	if res.Permitted && !res.Route.HasCommunity(req.Community) {
+		return Violation{
+			Requirement: req,
+			Witness:     sample,
+			Explanation: fmt.Sprintf(
+				"The route-map %s permits the route %s without adding the community %s. "+
+					"Every route accepted at this ingress must carry %s.",
+				req.Policy, sample.Prefix, req.Community, req.Community),
+		}, true
+	}
+	// The paper's "Adding Communities" pitfall: a non-additive set
+	// wipes existing communities. Check with a pre-tagged route.
+	tagged := sample.Clone()
+	probe := netcfg.NewCommunity(65000, 999)
+	tagged.AddCommunity(probe)
+	res = netcfg.EvalPolicy(pol, dev, tagged)
+	if res.Permitted && !res.Route.HasCommunity(probe) {
+		return Violation{
+			Requirement: req,
+			Witness:     tagged,
+			Explanation: fmt.Sprintf(
+				"The route-map %s replaces the communities already present on the route instead of "+
+					"adding %s. Use the 'additive' keyword so existing communities are preserved.",
+				req.Policy, req.Community),
+		}, true
 	}
 	return Violation{}, false
 }
@@ -354,18 +396,18 @@ func witnessRoute(res batfish.SearchResult) *netcfg.Route {
 	return r
 }
 
-// CheckAll verifies every requirement against the devices (keyed by router
-// name), returning all violations.
-func CheckAll(reqs []Requirement, devs map[string]*netcfg.Device) []Violation {
+// CheckAll verifies every requirement against the parse products (keyed
+// by router name), returning all violations.
+func CheckAll(reqs []Requirement, parsed map[string]*netcfg.Parsed) []Violation {
 	var out []Violation
 	for _, req := range reqs {
-		dev := devs[req.Router]
-		if dev == nil {
+		p := parsed[req.Router]
+		if p == nil {
 			out = append(out, Violation{Requirement: req,
 				Explanation: "router " + req.Router + " has no configuration"})
 			continue
 		}
-		if v, bad := Check(dev, req); bad {
+		if v, bad := CheckParsed(p, req); bad {
 			out = append(out, v)
 		}
 	}

@@ -203,7 +203,7 @@ func TestCheckAllAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := NoTransitSpec(topo)
-	viols := CheckAll(reqs, map[string]*netcfg.Device{})
+	viols := CheckAll(reqs, map[string]*netcfg.Parsed{})
 	if len(viols) != len(reqs) {
 		t.Fatalf("violations = %d, want one per requirement for a missing device", len(viols))
 	}

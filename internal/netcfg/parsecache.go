@@ -19,6 +19,35 @@ type Parsed struct {
 	Device        *Device
 	ParseWarnings []ParseWarning
 	CheckWarnings []ParseWarning
+
+	// memo holds products derived from Device on demand (see Memo). Only
+	// a ParseCache sets it, on the products it hands out.
+	memo *sync.Map
+}
+
+// memoEntry is one derived product, built once.
+type memoEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Memo returns the product build derives from p.Device under key. On a
+// product handed out by a ParseCache, build runs at most once per key
+// and every caller, concurrent ones included, shares its result, which
+// must therefore be treated as immutable; on any other Parsed, build runs
+// on every call. Keys follow context.WithValue's convention: an
+// unexported type per deriving package, so packages never collide.
+func (p *Parsed) Memo(key any, build func() any) any {
+	if p.memo == nil {
+		return build()
+	}
+	e, ok := p.memo.Load(key)
+	if !ok {
+		e, _ = p.memo.LoadOrStore(key, &memoEntry{})
+	}
+	m := e.(*memoEntry)
+	m.once.Do(func() { m.v = build() })
+	return m.v
 }
 
 // ParseFunc parses one configuration revision into its Parsed product.
@@ -103,6 +132,7 @@ func (c *ParseCache) Parse(text string) *Parsed {
 		p = prev
 		c.hits.Inc()
 	} else {
+		p.memo = &sync.Map{}
 		s.entries[key] = p
 		c.misses.Inc()
 	}

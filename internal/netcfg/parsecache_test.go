@@ -104,3 +104,38 @@ func TestParseCacheStripedHammer(t *testing.T) {
 		t.Errorf("parse calls = %d, want >= %d", got, revisions)
 	}
 }
+
+// TestParsedMemoBuildsOncePerCachedProduct: a cached product runs each
+// key's build once however many goroutines ask, a different revision or
+// key builds anew, and a product built outside the cache never memoizes.
+func TestParsedMemoBuildsOncePerCachedProduct(t *testing.T) {
+	type key string
+	var parses, builds atomic.Int64
+	c := NewParseCache(countingParser(&parses))
+	p := c.Parse("rev-a")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v := p.Memo(key("x"), func() any { builds.Add(1); return "built" }); v != "built" {
+				t.Errorf("memo = %v, want built", v)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := builds.Load(); got != 1 {
+		t.Errorf("builds = %d on one cached product, want 1", got)
+	}
+	p.Memo(key("y"), func() any { builds.Add(1); return nil })
+	c.Parse("rev-b").Memo(key("x"), func() any { builds.Add(1); return nil })
+	if got := builds.Load(); got != 3 {
+		t.Errorf("builds = %d after a new key and a new revision, want 3", got)
+	}
+	bare := &Parsed{Device: NewDevice("bare", VendorCisco)}
+	bare.Memo(key("x"), func() any { builds.Add(1); return nil })
+	bare.Memo(key("x"), func() any { builds.Add(1); return nil })
+	if got := builds.Load(); got != 5 {
+		t.Errorf("builds = %d after two calls on an uncached product, want 5", got)
+	}
+}

@@ -9,10 +9,13 @@ import (
 )
 
 // CommCond is a conjunction of community constraints: every community in
-// Req must be present on the route, every community in Forbid absent.
+// req must be present on the route, every community in forbid absent.
+// Both lists are sorted ascending without duplicates and are never
+// written after construction, so conditions share them freely: And
+// allocates only when a merged list is new, Negations never.
 type CommCond struct {
-	Req    map[netcfg.Community]bool
-	Forbid map[netcfg.Community]bool
+	req    []netcfg.Community
+	forbid []netcfg.Community
 }
 
 // TrueComm is the unconstrained community condition.
@@ -20,63 +23,48 @@ func TrueComm() CommCond { return CommCond{} }
 
 // RequireComm returns a condition requiring a single community.
 func RequireComm(c netcfg.Community) CommCond {
-	return CommCond{Req: map[netcfg.Community]bool{c: true}}
+	return CommCond{req: []netcfg.Community{c}}
 }
 
 // ForbidComm returns a condition forbidding a single community.
 func ForbidComm(c netcfg.Community) CommCond {
-	return CommCond{Forbid: map[netcfg.Community]bool{c: true}}
+	return CommCond{forbid: []netcfg.Community{c}}
 }
 
 // Consistent reports whether the condition is satisfiable.
-func (c CommCond) Consistent() bool {
-	for comm := range c.Req {
-		if c.Forbid[comm] {
-			return false
-		}
-	}
-	return true
-}
+func (c CommCond) Consistent() bool { return disjoint(c.req, c.forbid) }
 
 // And conjoins two conditions; ok=false when the result is unsatisfiable.
 func (c CommCond) And(d CommCond) (CommCond, bool) {
-	out := CommCond{Req: map[netcfg.Community]bool{}, Forbid: map[netcfg.Community]bool{}}
-	for k := range c.Req {
-		out.Req[k] = true
+	if !disjoint(c.req, d.forbid) || !disjoint(d.req, c.forbid) ||
+		!c.Consistent() || !d.Consistent() {
+		return CommCond{}, false
 	}
-	for k := range d.Req {
-		out.Req[k] = true
-	}
-	for k := range c.Forbid {
-		out.Forbid[k] = true
-	}
-	for k := range d.Forbid {
-		out.Forbid[k] = true
-	}
-	return out, out.Consistent()
+	return CommCond{req: union(c.req, d.req), forbid: union(c.forbid, d.forbid)}, true
 }
 
 // Negations returns the disjuncts of ¬c: one single-literal condition per
-// literal in c, negated.
+// literal in c, negated, required literals first, each group in
+// ascending community order.
 func (c CommCond) Negations() []CommCond {
-	var out []CommCond
-	for _, comm := range sortedComms(c.Req) {
-		out = append(out, ForbidComm(comm))
+	out := make([]CommCond, 0, len(c.req)+len(c.forbid))
+	for i := range c.req {
+		out = append(out, CommCond{forbid: c.req[i : i+1 : i+1]})
 	}
-	for _, comm := range sortedComms(c.Forbid) {
-		out = append(out, RequireComm(comm))
+	for i := range c.forbid {
+		out = append(out, CommCond{req: c.forbid[i : i+1 : i+1]})
 	}
 	return out
 }
 
 // Holds evaluates the condition on a concrete community set.
 func (c CommCond) Holds(comms map[netcfg.Community]bool) bool {
-	for comm := range c.Req {
+	for _, comm := range c.req {
 		if !comms[comm] {
 			return false
 		}
 	}
-	for comm := range c.Forbid {
+	for _, comm := range c.forbid {
 		if comms[comm] {
 			return false
 		}
@@ -87,16 +75,74 @@ func (c CommCond) Holds(comms map[netcfg.Community]bool) bool {
 // String implements fmt.Stringer.
 func (c CommCond) String() string {
 	var parts []string
-	for _, comm := range sortedComms(c.Req) {
+	for _, comm := range c.req {
 		parts = append(parts, "+"+comm.String())
 	}
-	for _, comm := range sortedComms(c.Forbid) {
+	for _, comm := range c.forbid {
 		parts = append(parts, "-"+comm.String())
 	}
 	if len(parts) == 0 {
 		return "any-community"
 	}
 	return strings.Join(parts, " ")
+}
+
+// disjoint reports whether two sorted community lists share no element.
+func disjoint(a, b []netcfg.Community) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// subset reports whether every element of sorted a is in sorted b.
+func subset(a, b []netcfg.Community) bool {
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
+		}
+	}
+	return true
+}
+
+// union merges two sorted community lists. When one already holds the
+// other it is returned as is; otherwise the result is a fresh slice.
+func union(a, b []netcfg.Community) []netcfg.Community {
+	if subset(b, a) {
+		return a
+	}
+	if subset(a, b) {
+		return b
+	}
+	out := make([]netcfg.Community, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 func sortedComms(m map[netcfg.Community]bool) []netcfg.Community {
@@ -202,7 +248,7 @@ func (c Class) Sample() (*netcfg.Route, bool) {
 		return nil, false
 	}
 	r := netcfg.NewRoute(p)
-	for comm := range c.Comms.Req {
+	for _, comm := range c.Comms.req {
 		r.AddCommunity(comm)
 	}
 	protos := c.Protos.Protocols()

@@ -82,11 +82,10 @@ func ClauseGuard(cl *netcfg.PolicyClause, env netcfg.PolicyEnv) Space {
 }
 
 // Region is one guarded accept region of a policy: the set of input routes
-// that reach a given permit clause, together with that clause's transforms.
+// that reach a given permit clause, which carries the region's transforms.
 type Region struct {
-	Space     Space
-	ClauseSeq int
-	Sets      []netcfg.SetAction
+	Space  Space
+	Clause *netcfg.PolicyClause // nil for the implicit region of a nil policy
 }
 
 // AcceptRegions compiles a policy into its accept regions: clause k's
@@ -94,7 +93,7 @@ type Region struct {
 // (first-match-wins). A nil policy accepts everything unchanged.
 func AcceptRegions(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) []Region {
 	if p == nil {
-		return []Region{{Space: FullSpace(), ClauseSeq: -1}}
+		return []Region{{Space: FullSpace()}}
 	}
 	remaining := FullSpace()
 	var out []Region
@@ -102,7 +101,7 @@ func AcceptRegions(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) []Region {
 		guard := ClauseGuard(cl, env)
 		reached := remaining.Intersect(guard)
 		if cl.Action == netcfg.Permit && !reached.Empty() {
-			out = append(out, Region{Space: reached, ClauseSeq: cl.Seq, Sets: cl.Sets})
+			out = append(out, Region{Space: reached, Clause: cl})
 		}
 		remaining = remaining.Subtract(guard)
 		if remaining.Empty() {
@@ -112,13 +111,44 @@ func AcceptRegions(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) []Region {
 	return out
 }
 
+// Compiled is a route policy compiled for symbolic search: its accept
+// regions in clause order and their union, the accept space. It is
+// read-only once built, so any number of queries may share it.
+type Compiled struct {
+	Policy  *netcfg.RoutePolicy
+	Regions []Region
+	Accept  Space
+}
+
+// Compile compiles a policy against the lists of env.
+func Compile(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) *Compiled {
+	c := &Compiled{Policy: p, Regions: AcceptRegions(p, env)}
+	for _, r := range c.Regions {
+		c.Accept = c.Accept.Union(r.Space)
+	}
+	return c
+}
+
+// policyKey names one policy's compiled form in a parse product's memo.
+type policyKey string
+
+// CompiledPolicy returns the named policy of a parse product in compiled
+// form, or nil when the device does not define it. On a product handed
+// out by a netcfg.ParseCache each policy is compiled at most once per
+// configuration revision and shared by every caller, concurrent ones
+// included; on any other Parsed it is compiled on every call, so a
+// hand-built or mutated device is never answered from a stale form.
+func CompiledPolicy(p *netcfg.Parsed, name string) *Compiled {
+	pol := p.Device.RoutePolicies[name]
+	if pol == nil {
+		return nil
+	}
+	return p.Memo(policyKey(name), func() any { return Compile(pol, p.Device) }).(*Compiled)
+}
+
 // AcceptSpace returns the union of all accept regions of a policy.
 func AcceptSpace(p *netcfg.RoutePolicy, env netcfg.PolicyEnv) Space {
-	var out Space
-	for _, r := range AcceptRegions(p, env) {
-		out = out.Union(r.Space)
-	}
-	return out
+	return Compile(p, env).Accept
 }
 
 // Query is a SearchRoutePolicies-style question: does the policy produce
@@ -128,17 +158,16 @@ type Query struct {
 	Action netcfg.Action
 }
 
-// SearchPolicy answers a query: it returns a concrete witness route on
-// which the policy takes the queried action, or ok=false if no such route
-// exists. This mirrors Batfish's searchRoutePolicies used as the paper's
-// semantic verifier in §4.
-func SearchPolicy(p *netcfg.RoutePolicy, env netcfg.PolicyEnv, q Query) (*netcfg.Route, bool) {
-	accept := AcceptSpace(p, env)
+// Search answers a query: it returns a concrete witness route on which the
+// policy takes the queried action, or ok=false if no such route exists.
+// This mirrors Batfish's searchRoutePolicies used as the paper's semantic
+// verifier in §4.
+func (c *Compiled) Search(q Query) (*netcfg.Route, bool) {
 	var target Space
 	if q.Action == netcfg.Permit {
-		target = q.Input.Intersect(accept)
+		target = q.Input.Intersect(c.Accept)
 	} else {
-		target = q.Input.Subtract(accept)
+		target = q.Input.Subtract(c.Accept)
 	}
 	return target.Sample()
 }
