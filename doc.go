@@ -276,6 +276,23 @@
 // every registry scenario, every injected LLM-error class, and
 // mutate/revert sequences).
 //
+// Within a run, rounds are change-driven on both paths: in round k a node
+// announces only the prefixes whose RIB entry changed in round k-1 (in
+// round 1, everything it originates). The cold step tracks the prefixes
+// deliver changed; the replay compares each sender's candidate pointers
+// between rounds k-2 and k-1 of the new trajectory, which can over-report
+// a change but never miss one, since installed candidates are immutable.
+// The result is identical to re-announcing every entry every round by
+// monotonicity: deliver only replaces an entry with a strictly better one
+// (a strict order on local-pref, AS-path length, MED and peer; an
+// originated entry is never replaced), and sessions and policies are
+// fixed within a run. So an unchanged entry would produce exactly the
+// message its receiver already handled, against an entry that has only
+// improved since, and that message would be a no-op. RIBs, Iterations and
+// Converged are unchanged; FuzzSimPropagation checks this against the
+// full re-announce step kept in the tests, and the incremental replay
+// against cold runs after random Update batches.
+//
 // lightyear.GlobalSession carries the session across the no-transit
 // check: Check(devs, changed) with a nil change set rebuilds cold, an
 // explicit change list replays incrementally, and a change list naming

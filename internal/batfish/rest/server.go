@@ -2,6 +2,7 @@ package rest
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -81,6 +82,13 @@ type HandlerOptions struct {
 	MaxBatchProtocol int
 }
 
+// MaxRequestBytes caps every request body the handler reads. The largest
+// body the repository's own clients send is a first-iteration /v1/batch
+// of a random:200 synthesis, about 12 MB (the test suite and the
+// benchmark cells stay under 0.5 MB); the cap leaves five times that
+// headroom and only refuses hostile or runaway input, with 413.
+const MaxRequestBytes = 64 << 20
+
 // NewHandler returns the HTTP handler serving the verification suite with
 // default options.
 func NewHandler() http.Handler {
@@ -139,11 +147,27 @@ func NewHandlerOpts(opts HandlerOptions) http.Handler {
 	// endpoints themselves are excluded so a scrape loop does not inflate
 	// the very numbers it reads.
 	reg := opts.Metrics
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return limitBody(MaxRequestBytes, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != obs.MetricsPath && r.URL.Path != obs.VarsPath {
 			reg.Counter("batfishd_requests_total", "path", r.URL.Path).Inc()
 		}
 		mux.ServeHTTP(w, r)
+	}))
+}
+
+// limitBody caps request bodies at limit bytes. A body whose declared
+// length is over the cap is refused with 413 before it is read; one that
+// runs past the cap while being read (a chunked body) fails decode, which
+// answers 413.
+func limitBody(limit int64, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength > limit {
+			writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: fmt.Sprintf(
+				"request body of %d bytes exceeds the %d-byte limit", r.ContentLength, limit)})
+			return
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+		h.ServeHTTP(w, r)
 	})
 }
 
@@ -231,6 +255,12 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, ErrorResponse{Error: fmt.Sprintf(
+				"request body exceeds the %d-byte limit", tooBig.Limit)})
+			return false
+		}
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad request: %v", err)})
 		return false
 	}

@@ -194,6 +194,12 @@ func (s *Sim) connect() {
 				sess.importPol = &netcfg.RoutePolicy{Name: nb.ImportPolicy,
 					Clauses: []*netcfg.PolicyClause{{Seq: 10, Action: netcfg.Deny}}}
 			}
+			if peer.external && len(n.addrs) == 0 {
+				// No usable address (every interface shut down or
+				// unaddressed): the stub has nothing to dial, so the
+				// session never comes up, like one-sided peering.
+				continue
+			}
 			n.sessions = append(n.sessions, sess)
 			// External stubs get a mirror session (accept-all).
 			if peer.external {
@@ -234,7 +240,10 @@ func declares(n *simNode, peer *simNode) bool {
 
 // Result holds the converged state.
 type Result struct {
-	// RIB maps node -> prefix -> best route (post-import attributes).
+	// RIB maps node -> prefix -> best route (post-import attributes). The
+	// routes are the simulator's installed candidates, shared with the
+	// session's recorded history and with later Results of the same
+	// session: they are read-only.
 	RIB map[string]map[netcfg.Prefix]*netcfg.Route
 	// Iterations is the number of propagation rounds to convergence.
 	Iterations int
@@ -243,15 +252,21 @@ type Result struct {
 }
 
 // Run propagates announcements to a fixpoint and returns per-node RIBs.
-// Outside a persistent session (see RunIncremental) it records nothing
-// and costs exactly what the seed's one-shot simulation cost.
+// Rounds are change-driven (see step): a node announces only the entries
+// that changed in the round before. Outside a persistent session (see
+// RunIncremental) it records no history.
 func (s *Sim) Run() *Result {
 	s.connect()
-	// Install originated routes.
-	for _, n := range s.nodes {
+	names := s.nodeNames()
+	// Install originated routes; round 1 announces every one of them.
+	fresh := make(map[string][]netcfg.Prefix, len(s.nodes))
+	for name, n := range s.nodes {
 		n.rib = map[netcfg.Prefix]*candidate{}
 		for _, r := range n.origin {
 			n.rib[r.Prefix] = &candidate{route: r.Clone(), from: ""}
+		}
+		if len(n.rib) > 0 {
+			fresh[name] = sortedPrefixes(n.rib)
 		}
 	}
 	var hist *simHistory
@@ -266,8 +281,8 @@ func (s *Sim) Run() *Result {
 	iter := 0
 	converged := false
 	for ; iter < s.maxIter; iter++ {
-		changed := s.step()
-		if len(changed) == 0 {
+		fresh = s.step(names, fresh)
+		if len(fresh) == 0 {
 			converged = true
 			break
 		}
@@ -275,10 +290,13 @@ func (s *Sim) Run() *Result {
 			prev := hist.rounds[len(hist.rounds)-1].ribs
 			round := historyRound{
 				ribs:    make(map[string]map[netcfg.Prefix]*candidate, len(s.nodes)),
-				changed: changed,
+				changed: make(map[string]bool, len(fresh)),
+			}
+			for name := range fresh {
+				round.changed[name] = true
 			}
 			for name, n := range s.nodes {
-				if changed[name] {
+				if round.changed[name] {
 					round.ribs[name] = cloneRib(n.rib)
 				} else {
 					round.ribs[name] = prev[name]
@@ -294,34 +312,50 @@ func (s *Sim) Run() *Result {
 	s.history = hist
 	s.dirty = nil
 	s.coldNeeded = false
-	res := &Result{RIB: map[string]map[netcfg.Prefix]*netcfg.Route{}, Iterations: iter, Converged: converged}
+	res := &Result{RIB: make(map[string]map[netcfg.Prefix]*netcfg.Route, len(s.nodes)),
+		Iterations: iter, Converged: converged}
 	for name, n := range s.nodes {
-		ribs := map[netcfg.Prefix]*netcfg.Route{}
-		for p, c := range n.rib {
-			ribs[p] = c.route.Clone()
-		}
-		res.RIB[name] = ribs
+		res.RIB[name] = ribRoutes(n.rib)
 	}
 	return res
 }
 
-// step performs one synchronous propagation round; it returns the set of
-// nodes whose RIB changed (nil/empty when the round reached a fixpoint).
-func (s *Sim) step() map[string]bool {
+// step performs one synchronous propagation round in which each node
+// announces only fresh[name] — the sorted prefixes whose RIB entry changed
+// in the round before (in round 1, every originated entry). It returns the
+// same sets for the next round; an empty result is the fixpoint.
+//
+// Skipping unchanged entries leaves the RIBs, Iterations and Converged
+// exactly as a step that re-announces every entry every round:
+//   - deliver only ever replaces an entry with a strictly better one, and
+//     better is a strict order on (local-pref, AS-path length, MED,
+//     peer); a locally originated entry is never replaced. So a receiver's
+//     entry for a prefix only improves over a run.
+//   - Sessions and policies are fixed for the length of a run, so an entry
+//     that did not change since it was last announced (in the round after
+//     it was installed) yields exactly the message the receiver already
+//     handled then — same route, same split-horizon, export, loop and
+//     import outcome.
+//   - Since then the receiver's entry has only improved, so that message
+//     would not beat it: it is a no-op at any point of any later round,
+//     and dropping it changes neither the RIB nor the order in which the
+//     surviving messages apply.
+//
+// The surviving messages keep the full step's order: senders by name,
+// each sender's sessions in declaration order, prefixes sorted.
+func (s *Sim) step(names []string, fresh map[string][]netcfg.Prefix) map[string][]netcfg.Prefix {
 	type incoming struct {
 		to    *simNode
 		from  *simNode
 		route *netcfg.Route
 	}
 	var inbox []incoming
-	for _, name := range s.nodeNames() {
-		n := s.nodes[name]
-		if len(n.sessions) == 0 {
+	for _, name := range names {
+		prefixes := fresh[name]
+		if len(prefixes) == 0 {
 			continue
 		}
-		// One sort per node per round: every session announces the same
-		// round-start RIB.
-		prefixes := sortedPrefixes(n.rib)
+		n := s.nodes[name]
 		for _, sess := range n.sessions {
 			sess := sess
 			announce(n, sess, n.rib, prefixes, func(r *netcfg.Route) {
@@ -329,21 +363,34 @@ func (s *Sim) step() map[string]bool {
 			})
 		}
 	}
-	var changed map[string]bool
+	changed := map[string]map[netcfg.Prefix]bool{}
 	for _, msg := range inbox {
 		if deliver(msg.to, msg.to.rib, msg.from, msg.route) {
-			if changed == nil {
-				changed = map[string]bool{}
+			set := changed[msg.to.name]
+			if set == nil {
+				set = map[netcfg.Prefix]bool{}
+				changed[msg.to.name] = set
 			}
-			changed[msg.to.name] = true
+			set[msg.route.Prefix] = true
 		}
 	}
-	return changed
+	next := make(map[string][]netcfg.Prefix, len(changed))
+	for name, set := range changed {
+		prefixes := make([]netcfg.Prefix, 0, len(set))
+		for p := range set {
+			prefixes = append(prefixes, p)
+		}
+		sortPrefixes(prefixes)
+		next[name] = prefixes
+	}
+	return next
 }
 
 // announce generates the routes node n offers on one session from the
-// given round-start RIB snapshot, in sorted prefix order, calling emit
-// for each route that survives split horizon and the export policy.
+// given round-start RIB snapshot, in the given (sorted) prefix order,
+// calling emit for each route that survives split horizon and the export
+// policy. Installed candidates are immutable, so the export policy reads
+// c.route directly; every emitted route is a fresh copy.
 func announce(n *simNode, sess *session, rib map[netcfg.Prefix]*candidate,
 	prefixes []netcfg.Prefix, emit func(*netcfg.Route)) {
 	for _, p := range prefixes {
@@ -353,16 +400,21 @@ func announce(n *simNode, sess *session, rib map[netcfg.Prefix]*candidate,
 		if c.from == sess.peer.name {
 			continue
 		}
-		out := c.route.Clone()
+		var out *netcfg.Route
 		if !n.external && sess.exportPol != nil {
-			res := netcfg.EvalPolicy(sess.exportPol, sess.envExport, out)
+			res := netcfg.EvalPolicy(sess.exportPol, sess.envExport, c.route)
 			if !res.Permitted {
 				continue
 			}
 			out = res.Route
+		} else {
+			out = c.route.Clone()
 		}
 		// eBGP: prepend sender AS, reset local preference.
-		out.ASPath = append([]uint32{n.asn}, out.ASPath...)
+		path := make([]uint32, len(out.ASPath)+1)
+		path[0] = n.asn
+		copy(path[1:], out.ASPath)
+		out.ASPath = path
 		out.LocalPref = 100
 		emit(out)
 	}
@@ -371,7 +423,9 @@ func announce(n *simNode, sess *session, rib map[netcfg.Prefix]*candidate,
 // deliver processes one incoming announcement against a receiver RIB —
 // loop detection, import policy, best-path selection — and reports
 // whether the RIB changed. The RIB is passed explicitly so the frontier
-// replay can run the identical logic against a detached map.
+// replay can run the identical logic against a detached map. An entry is
+// only ever replaced by a strictly better one, which is what lets step
+// and replayReceive skip re-announcing unchanged entries.
 func deliver(to *simNode, rib map[netcfg.Prefix]*candidate, from *simNode, r *netcfg.Route) bool {
 	// AS-path loop detection.
 	if to.asn != 0 && r.HasASInPath(to.asn) {
@@ -390,14 +444,13 @@ func deliver(to *simNode, rib map[netcfg.Prefix]*candidate, from *simNode, r *ne
 	if cur != nil && cur.from == "" {
 		return false // locally originated always wins
 	}
-	cand := &candidate{route: r, from: from.name}
-	if cur == nil || better(cand, cur) {
-		if cur == nil || !routesEqual(cur.route, cand.route) || cur.from != cand.from {
-			rib[r.Prefix] = cand
-			return true
-		}
+	if cur != nil && !better(&candidate{route: r, from: from.name}, cur) {
+		return false
 	}
-	return false
+	// better is strict, so an installed candidate always differs from
+	// the one it replaces.
+	rib[r.Prefix] = &candidate{route: r, from: from.name}
+	return true
 }
 
 // Update replaces one configured router's device inside a persistent
@@ -529,7 +582,11 @@ func (s *Sim) replay() *Result {
 	iter := 0
 	converged := false
 	for k := 1; k <= s.maxIter; k++ {
-		prevRibs := newHist.rounds[len(newHist.rounds)-1].ribs
+		prevRibs := newHist.rounds[k-1].ribs
+		fresh := &announcements{start: prevRibs, sets: map[string][]netcfg.Prefix{}}
+		if k >= 2 {
+			fresh.before = newHist.rounds[k-2].ribs
+		}
 		// The recompute set for this round.
 		recompute := map[string]bool{}
 		for name := range structDirty {
@@ -547,7 +604,7 @@ func (s *Sim) replay() *Result {
 			if !recompute[name] {
 				continue
 			}
-			rib := s.replayReceive(s.nodes[name], names, prevRibs)
+			rib := s.replayReceive(s.nodes[name], names, fresh)
 			curNew[name] = rib
 			if !ribsEqual(rib, prevRibs[name]) {
 				roundChanged[name] = true
@@ -605,31 +662,60 @@ func (s *Sim) replay() *Result {
 
 // replayReceive recomputes one node's next-round RIB exactly as the cold
 // step would: messages from every in-neighbor, generated from the
-// senders' round-start RIBs, processed in the cold inbox's per-receiver
-// order (senders sorted by name, each sender's sessions in declaration
-// order, prefixes sorted). Per-receiver processing is independent in the
-// cold step — a round's inbox is built entirely from round-start state and
-// only the receiver's own RIB mutates while its messages apply — which is
-// what makes recomputing one receiver in isolation exact.
-func (s *Sim) replayReceive(x *simNode, names []string,
-	startRibs map[string]map[netcfg.Prefix]*candidate) map[netcfg.Prefix]*candidate {
-	rib := cloneRib(startRibs[x.name])
+// senders' round-start RIBs and change-driven announcement sets, processed
+// in the cold inbox's per-receiver order (senders sorted by name, each
+// sender's sessions in declaration order, prefixes sorted). Per-receiver
+// processing is independent in the cold step — a round's inbox is built
+// entirely from round-start state and only the receiver's own RIB mutates
+// while its messages apply — which is what makes recomputing one receiver
+// in isolation exact.
+func (s *Sim) replayReceive(x *simNode, names []string, fresh *announcements) map[netcfg.Prefix]*candidate {
+	rib := cloneRib(fresh.start[x.name])
 	for _, yname := range names {
 		y := s.nodes[yname]
-		var prefixes []netcfg.Prefix
 		for _, sess := range y.sessions {
 			if sess.peer != x {
 				continue
 			}
-			if prefixes == nil {
-				prefixes = sortedPrefixes(startRibs[yname])
-			}
-			announce(y, sess, startRibs[yname], prefixes, func(r *netcfg.Route) {
+			announce(y, sess, fresh.start[yname], fresh.of(yname), func(r *netcfg.Route) {
 				deliver(x, rib, y, r)
 			})
 		}
 	}
 	return rib
+}
+
+// announcements lazily derives each sender's announcement set for one
+// replayed round k: the prefixes whose candidate pointer differs between
+// rounds k-2 (before) and k-1 (start) of the new trajectory, or every
+// entry in round 1 (before nil). Installed candidates are immutable, so a
+// pointer difference can over-report a change (an equal entry reached
+// through another copy of the map) but never miss one, and an
+// over-reported entry is a no-op re-announcement by step's argument.
+type announcements struct {
+	start, before map[string]map[netcfg.Prefix]*candidate
+	sets          map[string][]netcfg.Prefix
+}
+
+func (a *announcements) of(name string) []netcfg.Prefix {
+	if prefixes, ok := a.sets[name]; ok {
+		return prefixes
+	}
+	rib := a.start[name]
+	var prefixes []netcfg.Prefix
+	if a.before == nil {
+		prefixes = sortedPrefixes(rib)
+	} else {
+		prev := a.before[name]
+		for p, c := range rib {
+			if prev[p] != c {
+				prefixes = append(prefixes, p)
+			}
+		}
+		sortPrefixes(prefixes)
+	}
+	a.sets[name] = prefixes
+	return prefixes
 }
 
 // addAdjacency adds every session peer of the dirty set — in either
@@ -652,18 +738,24 @@ func (s *Sim) resultFromHistory() *Result {
 	h := s.history
 	final := h.rounds[len(h.rounds)-1].ribs
 	res := &Result{
-		RIB:        map[string]map[netcfg.Prefix]*netcfg.Route{},
+		RIB:        make(map[string]map[netcfg.Prefix]*netcfg.Route, len(s.nodes)),
 		Iterations: h.iterations,
 		Converged:  h.converged,
 	}
 	for name := range s.nodes {
-		ribs := map[netcfg.Prefix]*netcfg.Route{}
-		for p, c := range final[name] {
-			ribs[p] = c.route.Clone()
-		}
-		res.RIB[name] = ribs
+		res.RIB[name] = ribRoutes(final[name])
 	}
 	return res
+}
+
+// ribRoutes exposes a RIB's installed routes without copying them; see
+// Result.RIB.
+func ribRoutes(rib map[netcfg.Prefix]*candidate) map[netcfg.Prefix]*netcfg.Route {
+	out := make(map[netcfg.Prefix]*netcfg.Route, len(rib))
+	for p, c := range rib {
+		out[p] = c.route
+	}
+	return out
 }
 
 func cloneRib(rib map[netcfg.Prefix]*candidate) map[netcfg.Prefix]*candidate {
@@ -746,13 +838,19 @@ func sortedPrefixes(rib map[netcfg.Prefix]*candidate) []netcfg.Prefix {
 	for p := range rib {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].Len < out[j].Len
-	})
+	sortPrefixes(out)
 	return out
+}
+
+// sortPrefixes orders prefixes by address, then length: the order in
+// which a node announces its entries.
+func sortPrefixes(ps []netcfg.Prefix) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].Addr != ps[j].Addr {
+			return ps[i].Addr < ps[j].Addr
+		}
+		return ps[i].Len < ps[j].Len
+	})
 }
 
 // CanReach reports whether node has a route covering the prefix.

@@ -209,3 +209,36 @@ func TestSimDuplicateNodeRejected(t *testing.T) {
 		t.Error("duplicate external accepted")
 	}
 }
+
+// TestSimAddresslessRouterExternalSessionStaysDown pins a router that
+// declares an external neighbor but has no usable address (its only
+// interface is shut down): the stub has nothing to dial, so the session
+// never comes up, as with one-sided peering, on the cold and the
+// incremental path alike.
+func TestSimAddresslessRouterExternalSessionStaysDown(t *testing.T) {
+	a, b := twoNodeConfigs(t, "", "")
+	a.Interfaces[0].Shutdown = true
+	a.BGP.EnsureNeighbor(mustIP(t, "1.0.0.2")).RemoteAS = 99
+	for _, run := range []struct {
+		name string
+		run  func(*Sim) *Result
+	}{{"Run", (*Sim).Run}, {"RunIncremental", (*Sim).RunIncremental}} {
+		sim := NewSim()
+		_ = sim.AddDevice("A", a)
+		_ = sim.AddDevice("B", b)
+		if err := sim.AddExternal("E", mustIP(t, "1.0.0.2"), 99,
+			[]netcfg.Prefix{netcfg.MustPrefix("99.0.0.0/8")}); err != nil {
+			t.Fatal(err)
+		}
+		res := run.run(sim)
+		if !res.Converged {
+			t.Fatalf("%s: did not converge", run.name)
+		}
+		if res.RIB["A"][netcfg.MustPrefix("99.0.0.0/8")] != nil {
+			t.Errorf("%s: A learned the stub's prefix over a session that cannot come up", run.name)
+		}
+		if res.RIB["E"][netcfg.MustPrefix("10.0.0.0/8")] != nil {
+			t.Errorf("%s: the stub learned A's prefix over a session that cannot come up", run.name)
+		}
+	}
+}
